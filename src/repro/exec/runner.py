@@ -480,7 +480,7 @@ class ParallelRunner:
             self.stats.record_degraded(degraded)
 
         if dedup_slots:
-            memo = result_cache or ResultCache()
+            memo = ResultCache() if result_cache is None else result_cache
             if result_cache is None:
                 for slot in run_slots:
                     key = jobs[slot].cache_key()

@@ -12,10 +12,10 @@ figure sweeps fan out *batches of points* instead of individual jobs;
 worker-side compile-cache deltas, for warm-pool observability).
 
 Results are bit-identical to running each job through
-:func:`~repro.exec.job.run_sim_job`: the sweep engine's per-point walk is
-operation-for-operation the detailed simulator's, its timing-equivalence
-dedup mirrors :class:`~repro.exec.cache.ResultCache` relabel-on-hit, and
-``tests/perf/test_sweep.py`` pins both.
+:func:`~repro.exec.job.run_sim_job`: both go through the detailed
+engine's one phase walk (:class:`~repro.perf.sweep.PhaseWalker`), the
+timing-equivalence dedup mirrors :class:`~repro.exec.cache.ResultCache`
+relabel-on-hit, and ``tests/perf/test_sweep.py`` pins both.
 
 The second half of the module is the *sharded* full-space rank engine:
 :func:`plan_shards` partitions a design-point list into timing-key-aware
@@ -71,22 +71,16 @@ class SweepBatchJob:
     points: Tuple[SweepPoint, ...]
     system: Optional[SystemConfig] = None
     comm_params: Optional[CommParams] = None
-    interleave_parallel: bool = True
-    l1_prefetch: bool = False
-    gpu_mode: str = "heuristic"
-    interleave_quantum: int = 1
 
 
 def run_sweep_batch(job: SweepBatchJob) -> List[SimulationResult]:
-    """Execute one batch (the worker function run inside pool processes)."""
-    simulator = SweepSimulator(
-        system=job.system,
-        comm_params=job.comm_params,
-        interleave_parallel=job.interleave_parallel,
-        l1_prefetch=job.l1_prefetch,
-        gpu_mode=job.gpu_mode,
-        interleave_quantum=job.interleave_quantum,
-    )
+    """Execute one batch (the worker function run inside pool processes).
+
+    The engine runs at its default settings (exact interleaved parallel
+    phases, no L1 prefetch, heuristic GPU scheduling) — the settings of
+    :func:`~repro.exec.job.run_sim_job`, which the batch must reproduce.
+    """
+    simulator = SweepSimulator(system=job.system, comm_params=job.comm_params)
     return simulator.run(job.trace, list(job.points))
 
 
@@ -145,10 +139,6 @@ def point_for_job(job: SimJob) -> Optional[SweepPoint]:
 
 def partition_jobs(
     jobs: Sequence[SimJob],
-    interleave_parallel: bool = True,
-    l1_prefetch: bool = False,
-    gpu_mode: str = "heuristic",
-    interleave_quantum: int = 1,
 ) -> Optional[List[Tuple[SweepBatchJob, List[int]]]]:
     """Partition detailed jobs into per-trace sweep batches.
 
@@ -174,10 +164,6 @@ def partition_jobs(
                 SweepBatchJob(
                     trace=trace,
                     points=tuple(translated[i] for i in indices),
-                    interleave_parallel=interleave_parallel,
-                    l1_prefetch=l1_prefetch,
-                    gpu_mode=gpu_mode,
-                    interleave_quantum=interleave_quantum,
                 ),
                 indices,
             )

@@ -14,6 +14,12 @@ The compiled path is bit-identical to the legacy generator path — the
 parity suite in ``tests/perf`` asserts equal
 :class:`~repro.sim.results.SimulationResult` timings and counters — and is
 the :class:`~repro.sim.detailed.DetailedSimulator` default.
+
+:mod:`repro.perf.sweep` holds the detailed engine's one phase walk
+(:class:`~repro.perf.sweep.PhaseWalker`) over N per-point machines:
+:class:`~repro.sim.detailed.DetailedSimulator` runs it with N=1 and
+:class:`~repro.perf.sweep.SweepSimulator` once per group of design
+points that share a machine configuration.
 """
 
 from repro.perf.compiled import (
@@ -27,9 +33,9 @@ from repro.perf.compiled import (
 )
 from repro.perf.sweep import (
     BatchedDesignPoints,
+    PhaseWalker,
     SweepPoint,
     SweepSimulator,
-    run_design_sweep,
 )
 
 __all__ = [
@@ -40,8 +46,8 @@ __all__ = [
     "EV_COMPUTE_RUN",
     "EV_MEMORY",
     "EV_BRANCH",
+    "PhaseWalker",
     "SweepPoint",
     "BatchedDesignPoints",
     "SweepSimulator",
-    "run_design_sweep",
 ]

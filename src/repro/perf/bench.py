@@ -3,8 +3,8 @@
 Measures :meth:`repro.sim.detailed.DetailedSimulator.run` on the six
 Table III kernels at a reduced scale, once through the legacy generator
 path (``compiled=False``) and once through the compiled hot path, at two
-fidelities — ``serial`` (cores run back-to-back, the batched
-``run_compiled`` loops) and ``interleaved`` (timestamp-ordered parallel
+fidelities — ``serial`` (cores run back-to-back through the
+whole-segment compiled loop, ``run_compiled_batch`` at N=1) and ``interleaved`` (timestamp-ordered parallel
 phases, the per-instruction steppers) — plus the analytic
 :class:`~repro.sim.fast.FastSimulator` as a reference row. The result
 feeds ``BENCH_hotpath.json``: the repo's perf trajectory, and what the CI

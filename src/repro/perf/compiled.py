@@ -7,8 +7,8 @@ sizes, and branch directions live in compact parallel numpy arrays instead
 of millions of per-instruction dataclass objects. On top of the arrays we
 build a *batched event encoding* — maximal runs of plain compute
 instructions collapse into a single ``(EV_COMPUTE_RUN, count)`` record —
-which is what the cores' batched loops actually execute
-(:meth:`repro.sim.cpu.core.CpuCore.run_compiled`).
+which is what the cores' compiled loops actually execute
+(:func:`repro.sim.cpu.core.run_compiled_batch`).
 
 Compilation is memoized per segment (:class:`SegmentCompileCache`), so the
 many (system x locality x fault-rate) design points that replay the same
@@ -71,7 +71,7 @@ class CompiledSegment:
     ``opcodes`` (uint8) indexes :data:`repro.isa.opcodes.CODE_TO_OPCODE`;
     ``addrs`` (int64) is ``-1`` for non-memory records; ``sizes`` (int32)
     and ``taken`` (bool) complete the record. ``events`` is the batched
-    encoding consumed by the cores' ``run_compiled`` loops —
+    encoding consumed by the cores' compiled loops —
     :meth:`from_segment` builds it eagerly, so compiled segments shipped
     into worker processes never rebuild it.
     """

@@ -1,30 +1,38 @@
-"""The design-point axis of the compiled hot path.
+"""The detailed engine's one phase walk, and its design-point axis.
 
 Ranking and figure sweeps replay the same six kernel traces across dozens
-of design points; until this module the :class:`~repro.sim.detailed.DetailedSimulator`
-consumed each point one at a time, re-decoding the same
-:class:`~repro.perf.compiled.CompiledSegment` event stream per point. Here
-the points become an *axis*:
+of design points, so the detailed engine walks a trace's phases once for
+N per-point (machine, channel) pairs. :meth:`PhaseWalker._walk` is that
+walk, the only one in the package: sequential and serial parallel phases
+run the whole-segment compiled core loops
+(:func:`repro.sim.cpu.core.run_compiled_batch`,
+:func:`repro.sim.gpu.core.run_compiled_batch`), which decode each event
+record once for all N machines; interleaved parallel phases step each
+point's two cores in timestamp order through
+:func:`~repro.sim.engine.run_parallel_interleaved`.
 
+- :class:`PhaseWalker` — the engine settings shared by both simulators,
+  and the walk;
+- :class:`~repro.sim.detailed.DetailedSimulator` — the N=1 case, with a
+  span tracer, an explicit channel or prebuilt address space, and the
+  legacy ``Instruction`` path (``compiled=False``) kept as the parity
+  suite's reference;
 - :class:`SweepPoint` — one design point's simulation parameters (the
   pure-data subset of a :class:`~repro.exec.job.SimJob`);
-- :class:`BatchedDesignPoints` — a batch of points with their
-  latency/bandwidth/capacity/issue-width parameters stacked into parallel
-  numpy arrays, the timing-equivalence dedup (points differing only in
-  display label share one simulation, mirroring
-  :class:`~repro.exec.cache.ResultCache` relabel-on-hit), and the
-  execution grouping (points that can share one phase walk);
+- :class:`BatchedDesignPoints` — a batch of points with the
+  timing-equivalence dedup (points differing only in display label share
+  one simulation, mirroring :class:`~repro.exec.cache.ResultCache`
+  relabel-on-hit) and the execution grouping (points that can share one
+  phase walk);
 - :class:`SweepSimulator` — evaluates one trace against every point of a
-  batch: per execution group the phase walk runs *once*, driving the
-  batched core loops (:func:`repro.sim.cpu.core.run_compiled_batch`,
-  :func:`repro.sim.gpu.core.run_compiled_batch`) so each event record is
-  decoded once for N per-point machines.
+  batch, one walk per execution group.
 
-Bit-identity contract: for every point, the returned
-:class:`~repro.sim.results.SimulationResult` equals what
-``DetailedSimulator(compiled=True).run`` produces for that point alone —
-``tests/perf/test_sweep.py`` pins this for all six kernels across the five
-case-study systems and for rank-style mechanism/space points.
+Bit-identity contract: per point the walk performs the same operations in
+the same order whatever N is, so a point's
+:class:`~repro.sim.results.SimulationResult` does not depend on the batch
+it is walked in. ``tests/sim/test_golden_digests.py`` pins the results of
+both simulators against committed digests, and ``tests/perf`` pins the
+compiled path against the legacy ``Instruction`` path.
 """
 
 from __future__ import annotations
@@ -32,23 +40,22 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.addrspace.base import AddressSpace, make_address_space
 from repro.config.comm import CommParams
 from repro.config.presets import CaseStudy
 from repro.config.system import SystemConfig
-from repro.comm.base import make_channel
+from repro.comm.base import CommChannel, make_channel
 from repro.errors import SimulationError
 from repro.mem.cache.replacement import ReplacementPolicy
 from repro.mem.coherence.api import resolve_protocol_kind
+from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.perf.compiled import SHARED_COMPILE_CACHE, SegmentCompileCache
 from repro.sim.cpu.core import run_compiled_batch as cpu_run_compiled_batch
 from repro.sim.engine import run_parallel_interleaved
 from repro.sim.gpu.core import run_compiled_batch as gpu_run_compiled_batch
 from repro.sim.mmu import TranslationFront, stage_trace
 from repro.sim.results import PhaseTiming, SimulationResult, TimeBreakdown
-from repro.sim.system import build_machine
+from repro.sim.system import Machine, build_machine
 from repro.taxonomy import (
     AddressSpaceKind,
     CoherenceKind,
@@ -59,11 +66,277 @@ from repro.trace.phase import CommPhase, Direction, ParallelPhase, SequentialPha
 from repro.trace.stream import KernelTrace
 
 __all__ = [
+    "PhaseWalker",
     "SweepPoint",
     "BatchedDesignPoints",
     "SweepSimulator",
-    "run_design_sweep",
 ]
+
+
+class PhaseWalker:
+    """The detailed engine: machine settings plus the one N-point phase walk.
+
+    :class:`~repro.sim.detailed.DetailedSimulator` walks one point per
+    run; :class:`SweepSimulator` walks one execution group of points at a
+    time. Both build their machines with these settings and hand them to
+    :meth:`_walk`.
+    """
+
+    def __init__(
+        self,
+        system: Optional[SystemConfig] = None,
+        comm_params: Optional[CommParams] = None,
+        l3_policy: Optional[ReplacementPolicy] = None,
+        interleave_parallel: bool = True,
+        l1_prefetch: bool = False,
+        gpu_mode: str = "heuristic",
+        interleave_quantum: int = 1,
+        compile_cache: Optional[SegmentCompileCache] = None,
+    ) -> None:
+        self.system = system or SystemConfig()
+        self.comm_params = comm_params or CommParams()
+        self.l3_policy = l3_policy
+        #: Whether parallel phases run the two cores in timestamp order
+        #: (contention-aware) or back-to-back (no cross-PU contention).
+        self.interleave_parallel = interleave_parallel
+        #: Attach next-line prefetchers to both L1 data caches.
+        self.l1_prefetch = l1_prefetch
+        #: GPU scheduler: "heuristic" (warp-divided stalls) or "warp" (a
+        #: real greedy warp scheduler).
+        self.gpu_mode = gpu_mode
+        #: Interleave granularity for parallel phases; 1 is exact, larger
+        #: values are a documented approximation (see
+        #: :func:`repro.sim.engine.run_parallel_interleaved`).
+        if interleave_quantum < 1:
+            raise SimulationError(
+                f"interleave quantum must be >= 1, got {interleave_quantum}"
+            )
+        self.interleave_quantum = interleave_quantum
+        #: Segment-compilation memo; defaults to the process-wide cache so
+        #: design points sharing a trace compile each segment once. An
+        #: empty private cache is falsy (it has ``__len__``), hence the
+        #: explicit ``is None``.
+        self.compile_cache = (
+            SHARED_COMPILE_CACHE if compile_cache is None else compile_cache
+        )
+
+    def _walk(
+        self,
+        trace: KernelTrace,
+        machines: Sequence[Machine],
+        channels: Sequence[CommChannel],
+        labels: Sequence[str],
+        spaces: Optional[Sequence[AddressSpace]] = None,
+        compiled: bool = True,
+        tracer: Tracer = NULL_TRACER,
+    ) -> List[SimulationResult]:
+        """Walk ``trace``'s phases once for N points; one result per point.
+
+        Point ``i`` runs on ``machines[i]`` (all built from one
+        configuration, so every point sees the same event stream),
+        communicates over ``channels[i]`` and is labelled ``labels[i]``.
+        With ``spaces`` set, the trace is staged into every point's own
+        address space (see :func:`repro.sim.mmu.stage_trace`; staging is
+        deterministic, so the first staging is the shared stream) and each
+        point's cores translate through per-PU TLBs over that space.
+
+        ``compiled=False`` expands each segment into legacy
+        :class:`~repro.trace.instruction.Instruction` objects instead of
+        running the compiled event stream.
+        """
+        n = len(machines)
+        staged = trace
+        mmus: Optional[List[Dict[ProcessingUnit, TranslationFront]]] = None
+        if spaces is not None:
+            staged = stage_trace(trace, spaces[0])
+            for space in spaces[1:]:
+                stage_trace(trace, space)
+            mmus = []
+            for machine, space in zip(machines, spaces):
+                cpu_mmu = TranslationFront(
+                    ProcessingUnit.CPU, space, machine.cpu_core.memory
+                )
+                gpu_mmu = TranslationFront(
+                    ProcessingUnit.GPU, space, machine.gpu_core.memory
+                )
+                machine.cpu_core.memory = cpu_mmu
+                machine.gpu_core.memory = gpu_mmu
+                mmus.append({ProcessingUnit.CPU: cpu_mmu, ProcessingUnit.GPU: gpu_mmu})
+
+        cpu_cores = [machine.cpu_core for machine in machines]
+        gpu_cores = [machine.gpu_core for machine in machines]
+        cpu_to_seconds = [m.config.cpu.frequency.cycles_to_seconds for m in machines]
+        gpu_to_seconds = [m.config.gpu.frequency.cycles_to_seconds for m in machines]
+        compile_get = self.compile_cache.get
+        quantum = self.interleave_quantum
+
+        sequential = [0.0] * n
+        parallel = [0.0] * n
+        communication = [0.0] * n
+        now = [0.0] * n
+        last_parallel_seconds = [0.0] * n
+        phase_timings: List[List[PhaseTiming]] = [[] for _ in range(n)]
+        # H2D copies deferred until the next parallel phase: an async
+        # channel overlaps a copy with the phase that *follows* it.
+        pending_h2d: List[CommPhase] = []
+
+        # Hoisted tracing state: with the NULL tracer the per-phase cost is
+        # a single falsy check — no track label, no timestamp math, no
+        # sample dict allocations.
+        tracing = tracer.enabled
+        tracks = [f"{staged.name} @ {label}" for label in labels] if tracing else []
+
+        def sample_memory(i: int) -> None:
+            """Emit point ``i``'s memory-hierarchy 'C' counter samples."""
+            machine = machines[i]
+            ts = now[i] * 1e6
+            tracer.counter(
+                tracks[i], "l3", "l3", ts,
+                {"hits": machine.l3.hits, "misses": machine.l3.misses},
+            )
+            tracer.counter(tracks[i], "ring", "ring", ts, {"messages": machine.ring.messages})
+            tracer.counter(
+                tracks[i], "dram", "dram", ts,
+                {"requests": machine.dram.stats().get("requests", 0.0)},
+            )
+
+        def communicate(i: int, comm: CommPhase, window: float) -> None:
+            result = channels[i].transfer(comm, overlap_window=window)
+            if tracing:
+                tracer.complete(
+                    tracks[i],
+                    "comm-link",
+                    comm.label,
+                    now[i] * 1e6,
+                    result.exposed * 1e6,
+                    args={"overlapped_us": result.overlapped * 1e6},
+                )
+            communication[i] += result.exposed
+            now[i] += result.exposed
+            phase_timings[i].append(
+                PhaseTiming(
+                    label=comm.label,
+                    kind="communication",
+                    seconds=result.exposed,
+                    overlapped_seconds=result.overlapped,
+                )
+            )
+
+        def run_cores(batch_loop, cores, segment) -> List[int]:
+            """Each point's cycles for ``segment``, started at its ``now``."""
+            if compiled:
+                return batch_loop(cores, compile_get(segment), now)
+            return [
+                core.run_segment(segment.instructions(), start_seconds=now[i])
+                for i, core in enumerate(cores)
+            ]
+
+        for phase in staged.phases:
+            if isinstance(phase, SequentialPhase):
+                cycles = run_cores(cpu_run_compiled_batch, cpu_cores, phase.segment)
+                for i in range(n):
+                    seconds = cpu_to_seconds[i](cycles[i])
+                    if tracing:
+                        tracer.complete(
+                            tracks[i], "cpu-core", phase.label, now[i] * 1e6, seconds * 1e6
+                        )
+                    sequential[i] += seconds
+                    now[i] += seconds
+                    if tracing:
+                        sample_memory(i)
+                    phase_timings[i].append(
+                        PhaseTiming(
+                            label=phase.label,
+                            kind="sequential",
+                            seconds=seconds,
+                            cpu_seconds=seconds,
+                        )
+                    )
+            elif isinstance(phase, ParallelPhase):
+                if self.interleave_parallel:
+                    cpu_side = compile_get(phase.cpu) if compiled else phase.cpu
+                    gpu_side = compile_get(phase.gpu) if compiled else phase.gpu
+                    outcomes = [
+                        run_parallel_interleaved(
+                            cpu_cores[i],
+                            gpu_cores[i],
+                            cpu_side,
+                            gpu_side,
+                            start_seconds=now[i],
+                            quantum=quantum,
+                        )
+                        for i in range(n)
+                    ]
+                    cpu_seconds = [outcome.cpu_seconds for outcome in outcomes]
+                    gpu_seconds = [outcome.gpu_seconds for outcome in outcomes]
+                else:
+                    cpu_cycles = run_cores(cpu_run_compiled_batch, cpu_cores, phase.cpu)
+                    gpu_cycles = run_cores(gpu_run_compiled_batch, gpu_cores, phase.gpu)
+                    cpu_seconds = [cpu_to_seconds[i](c) for i, c in enumerate(cpu_cycles)]
+                    gpu_seconds = [gpu_to_seconds[i](c) for i, c in enumerate(gpu_cycles)]
+                for i in range(n):
+                    seconds = max(cpu_seconds[i], gpu_seconds[i])
+                    # Any deferred H2D copies overlapped with this phase.
+                    for comm in pending_h2d:
+                        communicate(i, comm, seconds)
+                    if tracing:
+                        start = now[i] * 1e6
+                        tracer.complete(
+                            tracks[i], "cpu-core", phase.label, start, cpu_seconds[i] * 1e6
+                        )
+                        tracer.complete(
+                            tracks[i], "gpu-core", phase.label, start, gpu_seconds[i] * 1e6
+                        )
+                    parallel[i] += seconds
+                    now[i] += seconds
+                    if tracing:
+                        sample_memory(i)
+                    last_parallel_seconds[i] = seconds
+                    phase_timings[i].append(
+                        PhaseTiming(
+                            label=phase.label,
+                            kind="parallel",
+                            seconds=seconds,
+                            cpu_seconds=cpu_seconds[i],
+                            gpu_seconds=gpu_seconds[i],
+                        )
+                    )
+                pending_h2d.clear()
+            elif isinstance(phase, CommPhase):
+                if phase.direction is Direction.H2D:
+                    pending_h2d.append(phase)
+                    continue
+                for i in range(n):
+                    communicate(i, phase, last_parallel_seconds[i])
+            else:
+                raise SimulationError(f"unknown phase type {type(phase).__name__}")
+
+        results: List[SimulationResult] = []
+        for i, machine in enumerate(machines):
+            for comm in pending_h2d:
+                communicate(i, comm, 0.0)
+            counters: Dict[str, float] = dict(channels[i].stats())
+            for component, stats in machine.stats().items():
+                for key, value in stats.items():
+                    counters[f"{component}.{key}"] = value
+            if mmus is not None:
+                for pu, mmu in mmus[i].items():
+                    for key, value in mmu.stats().items():
+                        counters[f"mmu.{pu}.{key}"] = value
+            results.append(
+                SimulationResult(
+                    kernel=staged.name,
+                    system=labels[i],
+                    breakdown=TimeBreakdown(
+                        sequential=sequential[i],
+                        parallel=parallel[i],
+                        communication=communication[i],
+                    ),
+                    phases=tuple(phase_timings[i]),
+                    counters=counters,
+                )
+            )
+        return results
 
 
 @dataclass(frozen=True)
@@ -95,12 +368,6 @@ class SweepPoint:
             raise SimulationError(
                 f"a SweepPoint needs exactly one of case/mechanism, got {selectors}"
             )
-
-    @property
-    def hardware_coherence(self) -> bool:
-        return bool(
-            self.case and self.case.coherence is CoherenceKind.HARDWARE_DIRECTORY
-        )
 
     @property
     def protocol_kind(self) -> str:
@@ -142,15 +409,12 @@ class SweepPoint:
 class BatchedDesignPoints:
     """A batch of :class:`SweepPoint`\\ s prepared for one-pass evaluation.
 
-    Stacks each point's machine parameters into parallel numpy arrays
-    (``issue_widths``, ``cpu_hertz``, ``gpu_hertz``, ``l1d_latencies``,
-    ``l1d_capacities``, ``l3_capacities``, ``pci_bandwidths`` — one entry
-    per point), computes the timing-equivalence partition
-    (:attr:`distinct` representatives plus the :attr:`inverse` map), and
-    groups the representatives into execution groups that can share a
-    single phase walk: equal machine parameters, equal address-space
-    staging, equal coherence — so the per-point machines see identical
-    event streams and only channels, clocks, and cache contents differ.
+    Computes the timing-equivalence partition (:attr:`distinct`
+    representatives plus the :attr:`inverse` map) and groups the
+    representatives into execution groups that can share a single phase
+    walk: equal machine parameters, equal address-space staging, equal
+    coherence — so the per-point machines see identical event streams and
+    only channels and cache contents differ.
     """
 
     def __init__(
@@ -164,30 +428,6 @@ class BatchedDesignPoints:
         self.points: Tuple[SweepPoint, ...] = tuple(points)
         self.default_system = system or SystemConfig()
         self.default_comm_params = comm_params or CommParams()
-
-        systems = [p.system or self.default_system for p in self.points]
-        params = [p.comm_params or self.default_comm_params for p in self.points]
-        self.issue_widths = np.asarray(
-            [s.cpu.issue_width for s in systems], dtype=np.int64
-        )
-        self.cpu_hertz = np.asarray(
-            [s.cpu.frequency.hertz for s in systems], dtype=np.float64
-        )
-        self.gpu_hertz = np.asarray(
-            [s.gpu.frequency.hertz for s in systems], dtype=np.float64
-        )
-        self.l1d_latencies = np.asarray(
-            [s.cpu.l1d.latency for s in systems], dtype=np.int64
-        )
-        self.l1d_capacities = np.asarray(
-            [s.cpu.l1d.size_bytes for s in systems], dtype=np.int64
-        )
-        self.l3_capacities = np.asarray(
-            [s.l3.size_bytes for s in systems], dtype=np.int64
-        )
-        self.pci_bandwidths = np.asarray(
-            [p.pci_bandwidth.bytes_per_second for p in params], dtype=np.float64
-        )
 
         #: Indices (into ``points``) of the timing-distinct representatives,
         #: in first-appearance order; ``inverse[i]`` is the position in
@@ -232,41 +472,14 @@ class BatchedDesignPoints:
         return list(grouped.values())
 
 
-class SweepSimulator:
-    """Evaluates one trace against a batch of design points in shared passes.
+class SweepSimulator(PhaseWalker):
+    """Evaluates one trace against a batch of design points in shared walks.
 
-    Construction knobs mirror :class:`~repro.sim.detailed.DetailedSimulator`
-    (the per-point parity oracle); the compiled hot path is always on —
-    batching *is* the compiled event encoding applied across a point axis.
-    Interleaved parallel phases are inherently per-point (the engine steps
-    the two cores of one machine in timestamp order), so they fall back to
-    :func:`~repro.sim.engine.run_parallel_interleaved` per point while
-    sequential and serial parallel phases run the batched core loops.
+    Construction knobs are :class:`PhaseWalker`'s, the same as
+    :class:`~repro.sim.detailed.DetailedSimulator`'s; the compiled hot
+    path is always on — batching *is* the compiled event encoding applied
+    across a point axis.
     """
-
-    def __init__(
-        self,
-        system: Optional[SystemConfig] = None,
-        comm_params: Optional[CommParams] = None,
-        l3_policy: Optional[ReplacementPolicy] = None,
-        interleave_parallel: bool = True,
-        l1_prefetch: bool = False,
-        gpu_mode: str = "heuristic",
-        interleave_quantum: int = 1,
-        compile_cache: Optional[SegmentCompileCache] = None,
-    ) -> None:
-        self.system = system or SystemConfig()
-        self.comm_params = comm_params or CommParams()
-        self.l3_policy = l3_policy
-        self.interleave_parallel = interleave_parallel
-        self.l1_prefetch = l1_prefetch
-        self.gpu_mode = gpu_mode
-        if interleave_quantum < 1:
-            raise SimulationError(
-                f"interleave quantum must be >= 1, got {interleave_quantum}"
-            )
-        self.interleave_quantum = interleave_quantum
-        self.compile_cache = compile_cache or SHARED_COMPILE_CACHE
 
     def run(
         self,
@@ -293,7 +506,8 @@ class SweepSimulator:
             batch.distinct
         )
         for group in batch.groups():
-            self._run_group(trace, batch, group, distinct_results)
+            for position, result in zip(group, self._run_group(trace, batch, group)):
+                distinct_results[position] = result
         results: List[SimulationResult] = []
         for index, point in enumerate(batch.points):
             result = distinct_results[batch.inverse[index]]
@@ -309,229 +523,33 @@ class SweepSimulator:
         trace: KernelTrace,
         batch: BatchedDesignPoints,
         group: Sequence[int],
-        out: List[Optional[SimulationResult]],
-    ) -> None:
-        """One shared phase walk over the group's per-point machines.
-
-        The walk is :meth:`repro.sim.detailed.DetailedSimulator.run` with
-        every piece of per-run state turned into a per-point list; the
-        order of operations per point is preserved exactly.
-        """
+    ) -> List[SimulationResult]:
+        """One shared phase walk over the group's per-point machines."""
         points = [batch.points[batch.distinct[g]] for g in group]
-        n = len(points)
         system, _ = batch.resolved(points[0])
-        cpu_freq = system.cpu.frequency
-        gpu_freq = system.gpu.frequency
-        space_kind = points[0].address_space
-        protocol_kind = points[0].protocol_kind
-
         channels = []
         for point in points:
             _, params = batch.resolved(point)
             if point.case is not None:
-                channels.append(
-                    make_channel(
-                        point.case.comm,
-                        params=params,
-                        system=system,
-                        async_overlap=point.case.async_overlap,
-                    )
-                )
+                mechanism, overlap = point.case.comm, point.case.async_overlap
             else:
-                channels.append(
-                    make_channel(
-                        point.mechanism,
-                        params=params,
-                        system=system,
-                        async_overlap=point.async_overlap,
-                    )
-                )
-
-        staged = trace
+                mechanism, overlap = point.mechanism, point.async_overlap
+            channels.append(
+                make_channel(mechanism, params=params, system=system, async_overlap=overlap)
+            )
         spaces: Optional[List[AddressSpace]] = None
-        if space_kind is not None:
-            # Stage per point: staging allocates in the point's own page
-            # tables (the MMUs translate against them), but the rebased
-            # trace is deterministic, so every point stages identically and
-            # the first staging is the shared event stream.
-            spaces = [make_address_space(space_kind, system) for _ in range(n)]
-            staged = stage_trace(trace, spaces[0])
-            for space in spaces[1:]:
-                stage_trace(trace, space)
-
+        if points[0].address_space is not None:
+            # One space per point: staging allocates in the point's own
+            # page tables, which its MMUs translate against.
+            spaces = [make_address_space(points[0].address_space, system) for _ in points]
         machines = [
             build_machine(
                 system,
                 l3_policy=self.l3_policy,
-                coherence=protocol_kind,
+                coherence=points[0].protocol_kind,
                 l1_prefetch=self.l1_prefetch,
                 gpu_mode=self.gpu_mode,
             )
-            for _ in range(n)
+            for _ in points
         ]
-        mmus: Optional[List[Dict[ProcessingUnit, TranslationFront]]] = None
-        if spaces is not None:
-            mmus = []
-            for machine, space in zip(machines, spaces):
-                cpu_mmu = TranslationFront(
-                    ProcessingUnit.CPU, space, machine.cpu_core.memory
-                )
-                gpu_mmu = TranslationFront(
-                    ProcessingUnit.GPU, space, machine.gpu_core.memory
-                )
-                machine.cpu_core.memory = cpu_mmu
-                machine.gpu_core.memory = gpu_mmu
-                mmus.append(
-                    {ProcessingUnit.CPU: cpu_mmu, ProcessingUnit.GPU: gpu_mmu}
-                )
-
-        cpu_cores = [machine.cpu_core for machine in machines]
-        gpu_cores = [machine.gpu_core for machine in machines]
-        compile_get = self.compile_cache.get
-
-        sequential = [0.0] * n
-        parallel = [0.0] * n
-        communication = [0.0] * n
-        now = [0.0] * n
-        last_parallel_seconds = [0.0] * n
-        pending_h2d: List[List[CommPhase]] = [[] for _ in range(n)]
-        phase_timings: List[List[PhaseTiming]] = [[] for _ in range(n)]
-
-        def resolve_pending(i: int, window: float) -> None:
-            for comm in pending_h2d[i]:
-                result = channels[i].transfer(comm, overlap_window=window)
-                communication[i] += result.exposed
-                now[i] += result.exposed
-                phase_timings[i].append(
-                    PhaseTiming(
-                        label=comm.label,
-                        kind="communication",
-                        seconds=result.exposed,
-                        overlapped_seconds=result.overlapped,
-                    )
-                )
-            pending_h2d[i].clear()
-
-        for phase in staged.phases:
-            if isinstance(phase, SequentialPhase):
-                compiled = compile_get(phase.segment)
-                cycles = cpu_run_compiled_batch(cpu_cores, compiled, now)
-                for i in range(n):
-                    seconds = cpu_freq.cycles_to_seconds(cycles[i])
-                    sequential[i] += seconds
-                    now[i] += seconds
-                    phase_timings[i].append(
-                        PhaseTiming(
-                            label=phase.label,
-                            kind="sequential",
-                            seconds=seconds,
-                            cpu_seconds=seconds,
-                        )
-                    )
-            elif isinstance(phase, ParallelPhase):
-                if self.interleave_parallel:
-                    cpu_compiled = compile_get(phase.cpu)
-                    gpu_compiled = compile_get(phase.gpu)
-                    cpu_seconds_list = [0.0] * n
-                    gpu_seconds_list = [0.0] * n
-                    for i in range(n):
-                        outcome = run_parallel_interleaved(
-                            cpu_cores[i],
-                            gpu_cores[i],
-                            cpu_compiled,
-                            gpu_compiled,
-                            start_seconds=now[i],
-                            quantum=self.interleave_quantum,
-                        )
-                        cpu_seconds_list[i] = outcome.cpu_seconds
-                        gpu_seconds_list[i] = outcome.gpu_seconds
-                else:
-                    cpu_cycles = cpu_run_compiled_batch(
-                        cpu_cores, compile_get(phase.cpu), now
-                    )
-                    gpu_cycles = gpu_run_compiled_batch(
-                        gpu_cores, compile_get(phase.gpu), now
-                    )
-                    cpu_seconds_list = [
-                        cpu_freq.cycles_to_seconds(c) for c in cpu_cycles
-                    ]
-                    gpu_seconds_list = [
-                        gpu_freq.cycles_to_seconds(c) for c in gpu_cycles
-                    ]
-                for i in range(n):
-                    cpu_seconds = cpu_seconds_list[i]
-                    gpu_seconds = gpu_seconds_list[i]
-                    seconds = max(cpu_seconds, gpu_seconds)
-                    resolve_pending(i, seconds)
-                    parallel[i] += seconds
-                    now[i] += seconds
-                    last_parallel_seconds[i] = seconds
-                    phase_timings[i].append(
-                        PhaseTiming(
-                            label=phase.label,
-                            kind="parallel",
-                            seconds=seconds,
-                            cpu_seconds=cpu_seconds,
-                            gpu_seconds=gpu_seconds,
-                        )
-                    )
-            elif isinstance(phase, CommPhase):
-                if phase.direction is Direction.H2D:
-                    for i in range(n):
-                        pending_h2d[i].append(phase)
-                    continue
-                for i in range(n):
-                    result = channels[i].transfer(
-                        phase, overlap_window=last_parallel_seconds[i]
-                    )
-                    communication[i] += result.exposed
-                    now[i] += result.exposed
-                    phase_timings[i].append(
-                        PhaseTiming(
-                            label=phase.label,
-                            kind="communication",
-                            seconds=result.exposed,
-                            overlapped_seconds=result.overlapped,
-                        )
-                    )
-            else:
-                raise SimulationError(f"unknown phase type {type(phase).__name__}")
-        for i in range(n):
-            resolve_pending(i, 0.0)
-
-        for i, (g, point) in enumerate(zip(group, points)):
-            counters: Dict[str, float] = dict(channels[i].stats())
-            for component, stats in machines[i].stats().items():
-                for key, value in stats.items():
-                    counters[f"{component}.{key}"] = value
-            if mmus is not None:
-                for pu, mmu in mmus[i].items():
-                    for key, value in mmu.stats().items():
-                        counters[f"mmu.{pu}.{key}"] = value
-            out[g] = SimulationResult(
-                kernel=staged.name,
-                system=point.label(),
-                breakdown=TimeBreakdown(
-                    sequential=sequential[i],
-                    parallel=parallel[i],
-                    communication=communication[i],
-                ),
-                phases=tuple(phase_timings[i]),
-                counters=counters,
-            )
-
-
-def run_design_sweep(
-    trace: KernelTrace,
-    points: Sequence[SweepPoint],
-    system: Optional[SystemConfig] = None,
-    comm_params: Optional[CommParams] = None,
-    scale: float = 1.0,
-    **kwargs,
-) -> List[SimulationResult]:
-    """Convenience wrapper: batch ``points`` and evaluate ``trace`` once.
-
-    ``kwargs`` pass through to :class:`SweepSimulator`.
-    """
-    simulator = SweepSimulator(system=system, comm_params=comm_params, **kwargs)
-    return simulator.run(trace, points, scale=scale)
+        return self._walk(trace, machines, channels, [p.label() for p in points], spaces)

@@ -469,6 +469,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: A reply goes out in two writes (headers, then body). On a keep-alive
+    #: connection Nagle's algorithm holds the body back until the client's
+    #: delayed ACK of the headers, about 40 ms per request; TCP_NODELAY
+    #: sends it at once.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ExplorationService:

@@ -124,77 +124,11 @@ class CpuCore:
         start_seconds: float = 0.0,
         explicit_addrs: Optional[object] = None,
     ) -> int:
-        """Batched fast path over a compiled segment; returns cycles.
+        """Whole-segment fast path over a compiled segment; returns cycles.
 
-        Cycle-for-cycle identical to draining :meth:`run_stepwise` on the
-        segment's instruction stream (the ``tests/perf`` parity suite pins
-        this), but executes whole compute runs per event record and never
-        constructs an :class:`~repro.trace.instruction.Instruction` or
-        (on an L1 hit) a :class:`~repro.mem.request.MemRequest`.
-
-        Exactness notes: issue-group wraps are added one ``+= 1.0`` at a
-        time whenever ``cycles`` carries a fractional part (float addition
-        is not associative, and the legacy loop adds sequentially); when
-        ``cycles`` is integer-valued the batched add is exact. Stalls
-        accumulate onto the instance attributes per miss, in stream order,
-        exactly like the legacy loop.
+        The N=1 case of :func:`run_compiled_batch`.
         """
-        freq = self.config.frequency
-        hertz = freq.hertz
-        issue_width = self.config.issue_width
-        penalty = self.config.branch_mispredict_penalty
-        hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
-        mlp = self.mlp
-        access_latency = self.memory.access_latency
-        predict_and_update = self.predictor.predict_and_update
-        pu = ProcessingUnit.CPU
-
-        cycles = 0.0
-        slot = 0
-        for kind, a, b, c in compiled.events:
-            if kind == EV_COMPUTE_RUN:
-                slot += a
-                wraps = slot // issue_width
-                slot -= wraps * issue_width
-                if wraps:
-                    if cycles.is_integer():
-                        cycles += wraps
-                    else:
-                        for _ in range(wraps):
-                            cycles += 1.0
-            elif kind == EV_MEMORY:
-                slot += 1
-                if slot >= issue_width:
-                    cycles += 1.0
-                    slot = 0
-                explicit = bool(explicit_addrs is not None and explicit_addrs(a))
-                latency = access_latency(
-                    a,
-                    b,
-                    bool(c),
-                    pu,
-                    explicit,
-                    False,
-                    start_seconds + int(cycles) / hertz,
-                )
-                if latency > hit_latency:
-                    stall = (latency - hit_latency) / mlp
-                    stall_cycles = stall * hertz
-                    cycles += stall_cycles
-                    self.memory_stall_cycles += stall_cycles
-            else:  # EV_BRANCH
-                slot += 1
-                if slot >= issue_width:
-                    cycles += 1.0
-                    slot = 0
-                if not predict_and_update(b, bool(a)):
-                    cycles += penalty
-                    self.branch_stall_cycles += penalty
-                    slot = 0
-        if slot:
-            cycles += 1
-        self.instructions_retired += compiled.length
-        return int(cycles)
+        return run_compiled_batch([self], compiled, [start_seconds], [explicit_addrs])[0]
 
     def step_compiled(
         self,
@@ -307,13 +241,23 @@ def run_compiled_batch(
 ) -> List[int]:
     """Run one compiled event stream through N cores in a single pass.
 
-    The design-point axis of the compiled hot path: each core belongs to a
-    different design point's machine, and the batch loop decodes every
-    event record exactly once, applying it to all N per-point states
-    (cycles, issue slot, predictor, memory hierarchy). Per point, the
-    arithmetic is operation-for-operation the same sequence as
-    :meth:`CpuCore.run_compiled`, so results are bit-identical to running
-    the cores one at a time — ``tests/perf/test_sweep.py`` pins this.
+    The one whole-segment compiled loop of the CPU model
+    (:meth:`CpuCore.run_compiled` is its N=1 case). Each core belongs to a
+    different design point's machine; the loop decodes every event record
+    once and applies it to all N per-point states (cycles, issue slot,
+    predictor, memory hierarchy). Per point, the arithmetic is the same
+    operation sequence whatever N is, and cycle-for-cycle identical to
+    draining :meth:`CpuCore.run_stepwise` on the decoded instruction
+    stream (``tests/perf`` pins this), without constructing an
+    :class:`~repro.trace.instruction.Instruction` or, on a cache hit, a
+    :class:`~repro.mem.request.MemRequest`.
+
+    Exactness notes: issue-group wraps are added one ``+= 1.0`` at a time
+    whenever a core's cycle count carries a fractional part (float
+    addition is not associative, and the legacy loop adds sequentially);
+    when it is integer-valued the batched add is exact. Stalls accumulate
+    onto the core attributes per miss, in stream order, exactly like the
+    legacy loop.
 
     When every core's memory is a bare :class:`~repro.mem.cache.cache.Cache`
     with equal :attr:`~repro.mem.cache.cache.Cache.geometry`, each memory
@@ -330,8 +274,6 @@ def run_compiled_batch(
         )
     if explicit_addrs is None:
         explicit_addrs = [None] * n
-    if n == 1:
-        return [cores[0].run_compiled(compiled, start_seconds[0], explicit_addrs[0])]
 
     hertz = [core.config.frequency.hertz for core in cores]
     issue_width = [core.config.issue_width for core in cores]

@@ -188,13 +188,11 @@ class GpuCore:
         start_seconds: float = 0.0,
         explicit_addrs: Optional[object] = None,
     ) -> int:
-        """Batched fast path over a compiled segment; returns GPU cycles.
+        """Whole-segment fast path over a compiled segment; returns GPU cycles.
 
-        Heuristic mode only — warp mode keeps its scheduler and simply
-        decodes the compiled stream (latency hiding there depends on
-        per-instruction warp state). Cycle accounting matches the legacy
-        loop exactly; see :meth:`repro.sim.cpu.core.CpuCore.run_compiled`
-        for the float-exactness rules.
+        Heuristic mode is the N=1 case of :func:`run_compiled_batch`. Warp
+        mode keeps its scheduler and simply decodes the compiled stream
+        (latency hiding there depends on per-instruction warp state).
         """
         if self.mode == "warp":
             cycles = 0.0
@@ -203,51 +201,7 @@ class GpuCore:
             ):
                 pass
             return int(cycles)
-        freq = self.config.frequency
-        hertz = freq.hertz
-        branch_stall = self.config.branch_stall_cycles if self.config.stall_on_branch else 0
-        hit_latency = freq.cycles_to_seconds(self.config.l1d.latency)
-        warps = self.warps
-        access_latency = self.memory.access_latency
-        scratchpad_access = self.scratchpad.access
-        pu = ProcessingUnit.GPU
-
-        cycles = 0.0
-        for kind, a, b, c in compiled.events:
-            if kind == EV_COMPUTE_RUN:
-                if cycles.is_integer():
-                    cycles += a
-                else:
-                    for _ in range(a):
-                        cycles += 1.0
-            elif kind == EV_MEMORY:
-                cycles += 1.0
-                smem = scratchpad_access(a)
-                if smem is not None:
-                    self.scratchpad_hits += 1
-                    cycles += max(smem - 1, 0)
-                    continue
-                explicit = bool(explicit_addrs is not None and explicit_addrs(a))
-                latency = access_latency(
-                    a,
-                    b,
-                    bool(c),
-                    pu,
-                    explicit,
-                    False,
-                    start_seconds + int(cycles) / hertz,
-                )
-                if latency > hit_latency:
-                    stall = (latency - hit_latency) / warps
-                    stall_cycles = stall * hertz
-                    cycles += stall_cycles
-                    self.memory_stall_cycles += stall_cycles
-            else:  # EV_BRANCH
-                cycles += 1.0
-                cycles += branch_stall
-                self.branch_stall_cycles += branch_stall
-        self.instructions_retired += compiled.length
-        return int(cycles)
+        return run_compiled_batch([self], compiled, [start_seconds], [explicit_addrs])[0]
 
     def step_compiled(
         self,
@@ -353,13 +307,15 @@ def run_compiled_batch(
 ) -> List[int]:
     """Run one compiled event stream through N GPU cores in a single pass.
 
-    The GPU side of the design-point axis: event records are decoded once
-    and applied to every per-point core state. Heuristic-mode accounting is
-    operation-for-operation :meth:`GpuCore.run_compiled`; any core in warp
+    The one whole-segment compiled loop of the GPU model in heuristic mode
+    (:meth:`GpuCore.run_compiled` is its N=1 case): event records are
+    decoded once and applied to every per-point core state, with cycle
+    accounting identical to the legacy loop (see
+    :func:`repro.sim.cpu.core.run_compiled_batch` for the float-exactness
+    rules and the shared ``(index, tag)`` cache probing). Any core in warp
     mode makes the whole batch fall back to per-core execution (warp
     latency hiding depends on per-instruction scheduler state that cannot
-    share a decode pass). Shared ``(index, tag)`` cache probing mirrors
-    :func:`repro.sim.cpu.core.run_compiled_batch`.
+    share a decode pass).
 
     Returns each core's cycle count, in core order.
     """
@@ -370,7 +326,7 @@ def run_compiled_batch(
         )
     if explicit_addrs is None:
         explicit_addrs = [None] * n
-    if n == 1 or any(core.mode == "warp" for core in cores):
+    if any(core.mode == "warp" for core in cores):
         return [
             core.run_compiled(compiled, start_seconds[i], explicit_addrs[i])
             for i, core in enumerate(cores)

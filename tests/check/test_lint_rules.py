@@ -244,3 +244,68 @@ class TestMesiStateOwnership:
 
     def test_local_variable_named_state_allowed(self):
         assert violations("state = compute()\n") == []
+
+
+class TestFalsyOrDefault:
+    SIZED = "class Cache:\n    def __len__(self):\n        return 0\n"
+
+    def test_optional_sized_param_or_default_flagged(self):
+        source = self.SIZED + (
+            "def f(cache: Optional[Cache] = None):\n"
+            "    return cache or SHARED\n"
+        )
+        assert violations(source) == [("L007", 5)]
+
+    def test_union_and_string_annotations_flagged(self):
+        source = self.SIZED + (
+            "def f(a: 'Cache | None' = None, b: Union[Cache, None] = None):\n"
+            "    return a or X, b or Y\n"
+        )
+        assert violations(source) == [("L007", 5), ("L007", 5)]
+
+    def test_bool_dunder_and_inherited_len_flagged(self):
+        source = (
+            "class Flag:\n    def __bool__(self):\n        return False\n"
+            "class Memo(Base):\n    pass\n"
+            "def f(x: Optional[Flag] = None, y: Optional[Memo] = None):\n"
+            "    return x or 1, y or 2\n"
+        )
+        flagged = lint_rules.lint_source(source, Path("x.py"), falsy_classes={"Base"})
+        assert [(rule, line) for _, line, rule, _ in flagged] == [("L007", 7), ("L007", 7)]
+
+    def test_is_none_default_allowed(self):
+        source = self.SIZED + (
+            "def f(cache: Optional[Cache] = None):\n"
+            "    return SHARED if cache is None else cache\n"
+        )
+        assert violations(source) == []
+
+    def test_class_without_len_allowed(self):
+        source = (
+            "class Config:\n    pass\n"
+            "def f(config: Optional[Config] = None):\n"
+            "    return config or Config()\n"
+        )
+        assert violations(source) == []
+
+    def test_non_parameter_or_allowed(self):
+        source = self.SIZED + (
+            "def f(cache: Optional[Cache] = None):\n"
+            "    other = lookup()\n"
+            "    return other or cache\n"
+        )
+        assert violations(source) == []
+
+    def test_class_defined_in_another_file_flagged(self, tmp_path):
+        (tmp_path / "cache.py").write_text(self.SIZED)
+        (tmp_path / "use.py").write_text(
+            "def f(cache: Optional[Cache] = None):\n    return cache or SHARED\n"
+        )
+        result = subprocess.run(
+            [sys.executable, str(LINT), str(tmp_path)],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+        )
+        assert result.returncode == 1
+        assert "use.py:2: L007" in result.stderr

@@ -149,6 +149,23 @@ class TestRunJobsMemoization:
         assert runner.stats.jobs_submitted == 2  # both really ran
         assert memo.lookups == 0 and len(memo) == 0
 
+    def test_duplicates_resolve_through_a_falsy_cache(self):
+        """A cache whose ``len`` is 0 is still the caller's cache: the
+        in-batch duplicates must be served from it, not from a fresh
+        empty memo that never saw the batch's results."""
+
+        class EntriesElsewhere(ResultCache):
+            def __len__(self):
+                return 0
+
+        runner = ParallelRunner(jobs=1)
+        memo = EntriesElsewhere()
+        assert not memo
+        results = runner.run_jobs(self._jobs(["a", "b"]), result_cache=memo)
+        assert runner.stats.jobs_submitted == 1
+        assert [r.system for r in results] == ["a", "b"]
+        assert memo.hits == 1
+
     def test_stats_see_the_cache_delta_not_totals(self):
         runner = ParallelRunner(jobs=1)
         memo = ResultCache()

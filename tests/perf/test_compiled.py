@@ -243,3 +243,32 @@ class TestInstructionObjects:
         for inst in CompiledSegment.from_segment(segment).instructions():
             assert isinstance(inst, Instruction)
             inst.validate()
+
+
+class TestPrivateCompileCacheStaysPrivate:
+    """An empty ``SegmentCompileCache`` is falsy (it has ``__len__``); a
+    simulator handed one must still use it, not the process-wide cache."""
+
+    @pytest.mark.parametrize("engine", ["detailed", "sweep"])
+    def test_run_fills_the_private_cache_only(self, engine):
+        from repro.config.presets import case_study
+        from repro.kernels.registry import kernel
+        from repro.perf.sweep import SweepPoint, SweepSimulator
+        from repro.sim.detailed import DetailedSimulator
+
+        trace = kernel("reduction").build().scaled(0.002)
+        case = case_study("CPU+GPU")
+        private = SegmentCompileCache()
+        assert not private
+        shared = SHARED_COMPILE_CACHE
+        before = (shared.hits, shared.misses, shared.shared_hits, len(shared))
+        if engine == "detailed":
+            simulator = DetailedSimulator(compile_cache=private)
+            assert simulator.compile_cache is private
+            simulator.run(trace, case=case)
+        else:
+            simulator = SweepSimulator(compile_cache=private)
+            assert simulator.compile_cache is private
+            simulator.run(trace, [SweepPoint(case=case)])
+        assert private.misses > 0 and len(private) == private.misses
+        assert (shared.hits, shared.misses, shared.shared_hits, len(shared)) == before

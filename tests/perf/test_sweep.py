@@ -166,21 +166,6 @@ class TestBatchedDesignPoints:
         with pytest.raises(SimulationError):
             SweepPoint(case=case_study("CPU+GPU"), mechanism=CommMechanism.PCIE)
 
-    def test_parameter_arrays_stack_per_point(self):
-        points = case_points()
-        batch = BatchedDesignPoints(points)
-        n = len(points)
-        for name in (
-            "issue_widths",
-            "cpu_hertz",
-            "gpu_hertz",
-            "l1d_latencies",
-            "l1d_capacities",
-            "l3_capacities",
-            "pci_bandwidths",
-        ):
-            assert getattr(batch, name).shape == (n,)
-
     def test_groups_partition_the_distinct_points(self):
         points = rank_style_points() + case_points()
         batch = BatchedDesignPoints(points)

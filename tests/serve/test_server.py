@@ -163,6 +163,29 @@ def server():
 
 
 class TestHTTP:
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Sequential requests on one HTTP/1.1 connection answer at once.
+
+        With Nagle's algorithm on, each two-write reply waits for the
+        client's delayed ACK (about 40 ms), so 20 requests took >= 0.8 s.
+        """
+        import http.client
+        from urllib.parse import urlsplit
+
+        url = urlsplit(server.address)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["alive"] is True
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f} s"
+
     def test_health_and_readiness(self, server):
         status, body = _http("GET", f"{server.address}/healthz")
         assert status == 200 and json.loads(body)["alive"] is True

@@ -31,6 +31,14 @@
   reference in ``tests/faults/test_chaos.py`` (an untested drill rots
   silently). Runs automatically whenever the linted set includes the
   scenario catalog.
+- **L007 — no ``<param> or <default>`` over a possibly-falsy class.**
+  When a parameter is annotated ``Optional[C]`` (or ``C | None``) and
+  class ``C`` defines ``__len__`` or ``__bool__`` — directly or through a
+  base class, anywhere in the linted files — ``param or default``
+  silently replaces an *empty* instance the caller passed in (an empty
+  private cache becomes the shared one). Write ``default if param is
+  None else param``. A pre-pass over every linted file collects those
+  classes.
 
 Usage::
 
@@ -46,7 +54,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 Violation = Tuple[Path, int, str, str]
 
@@ -94,10 +102,117 @@ def _is_mutable_default(node: ast.expr) -> bool:
     )
 
 
-def lint_source(source: str, path: Path) -> List[Violation]:
-    """All violations in one python source file."""
+#: Dunder methods that make an instance's truth value depend on its
+#: contents (L007).
+FALSY_DUNDERS = frozenset({"__len__", "__bool__"})
+
+
+def _base_name(node: ast.expr) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def collect_falsy_classes(
+    trees: Iterable[ast.AST], known: Iterable[str] = ()
+) -> Set[str]:
+    """Names of classes whose instances can be falsy (the L007 pre-pass).
+
+    A class qualifies when its body defines ``__len__`` or ``__bool__``,
+    or when one of its bases (matched by simple name) qualifies; the
+    ``known`` names qualify up front.
+    """
+    bases: Dict[str, List[str]] = {}
+    falsy: Set[str] = set(known)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases.setdefault(node.name, []).extend(
+                name for name in map(_base_name, node.bases) if name
+            )
+            if any(
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and item.name in FALSY_DUNDERS
+                for item in node.body
+            ):
+                falsy.add(node.name)
+    changed = True
+    while changed:
+        changed = False
+        for name, parents in bases.items():
+            if name not in falsy and any(parent in falsy for parent in parents):
+                falsy.add(name)
+                changed = True
+    return falsy
+
+
+def _optional_class(annotation: Optional[ast.expr]) -> Optional[str]:
+    """``C`` for an ``Optional[C]`` / ``C | None`` / ``Union[C, None]``
+    annotation (string annotations included), else ``None``."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    members: List[ast.expr] = []
+    if isinstance(annotation, ast.Subscript):
+        wrapper = _base_name(annotation.value)
+        inner = annotation.slice
+        if wrapper == "Optional":
+            members = [inner]
+        elif wrapper == "Union" and isinstance(inner, ast.Tuple):
+            members = list(inner.elts)
+    elif isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        members = [annotation.left, annotation.right]
+    classes = [
+        _base_name(member)
+        for member in members
+        if not (isinstance(member, ast.Constant) and member.value is None)
+    ]
+    if len(classes) == 1 and len(members) >= 1 and classes[0]:
+        return classes[0]
+    return None
+
+
+def _falsy_or_defaults(
+    func: "ast.FunctionDef | ast.AsyncFunctionDef", falsy: Set[str]
+) -> Iterator[Tuple[ast.BoolOp, str, str]]:
+    """``(node, param, class)`` for each L007 ``param or ...`` in ``func``."""
+    args = func.args
+    params = {
+        arg.arg: cls
+        for arg in args.posonlyargs + args.args + args.kwonlyargs
+        for cls in [_optional_class(arg.annotation)]
+        if cls in falsy
+    }
+    if not params:
+        return
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.BoolOp)
+            and isinstance(node.op, ast.Or)
+            and isinstance(node.values[0], ast.Name)
+            and node.values[0].id in params
+        ):
+            name = node.values[0].id
+            yield node, name, params[name]
+
+
+def lint_source(
+    source: str, path: Path, falsy_classes: Iterable[str] = ()
+) -> List[Violation]:
+    """All violations in one python source file.
+
+    ``falsy_classes`` are the possibly-falsy class names found in the
+    other linted files (L007); classes defined in ``source`` itself are
+    always included.
+    """
     violations: List[Violation] = []
     tree = ast.parse(source, filename=str(path))
+    falsy = collect_falsy_classes([tree], known=falsy_classes)
     owns_mesi_state = COHERENCE_PACKAGE in path.as_posix()
     for node in ast.walk(tree):
         if not owns_mesi_state:
@@ -150,6 +265,17 @@ def lint_source(source: str, path: Path) -> List[Violation]:
                             "the value inside the function",
                         )
                     )
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and falsy:
+            for bool_op, param, cls in _falsy_or_defaults(node, falsy):
+                violations.append(
+                    (
+                        path,
+                        bool_op.lineno,
+                        "L007",
+                        f"'{param} or ...' replaces an empty {cls} (it "
+                        "defines __len__/__bool__); test 'is None' instead",
+                    )
+                )
         if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef)
         ) and node.name.startswith(HOT_LOOP_PREFIXES):
@@ -332,15 +458,19 @@ def iter_python_files(targets: List[str]) -> Iterator[Path]:
 def main(argv: List[str]) -> int:
     targets = argv or ["src"]
     violations: List[Violation] = []
-    checked = 0
+    sources: List[Tuple[Path, str]] = []
     for path in iter_python_files(targets):
-        checked += 1
         try:
-            source = path.read_text(encoding="utf-8")
+            sources.append((path, path.read_text(encoding="utf-8")))
         except OSError as exc:
             print(f"{path}: unreadable: {exc}", file=sys.stderr)
             return 2
-        violations.extend(lint_source(source, path))
+    checked = len(sources)
+    falsy = collect_falsy_classes(
+        ast.parse(source, filename=str(path)) for path, source in sources
+    )
+    for path, source in sources:
+        violations.extend(lint_source(source, path, falsy))
         if path.as_posix().endswith(RULE_CATALOG):
             violations.extend(_lint_catalog_files(path))
         if path.as_posix().endswith(CHAOS_CATALOG):
